@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "golden_cases.hpp"
 #include "solaris/solaris.hpp"
 #include "trace/binary.hpp"
+#include "workloads/prodcons.hpp"
 
 namespace vppb::core {
 namespace {
@@ -39,6 +41,70 @@ TEST(DeterminismTest, GoldenDigests) {
     EXPECT_EQ(actual, gc.golden)
         << gc.name << ": actual digest " << hex(actual) << " (golden "
         << hex(gc.golden) << ")";
+  }
+}
+
+// The deep-run-queue regime: the 556-thread shape of `vppb gen
+// prodcons-tuned --threads 96` (370 producers, 185 consumers, 10 items
+// each) keeps hundreds of LWPs waiting for a CPU, far more than any
+// golden case above (at most 8 threads).  These digests pin the
+// kernel-level dispatch decisions at that depth, including CPU-bound
+// waiters and mixed user priorities.
+TEST(DeterminismTest, DeepRunQueueDigests) {
+  const CompiledTrace compiled = record_compiled([] {
+    workloads::ProdConsParams p;
+    p.producers = 370;
+    p.consumers = 185;
+    p.items_per_producer = 10;
+    workloads::prodcons_tuned(p);
+  });
+  struct DeepCase {
+    const char* name;
+    std::function<void(SimConfig&)> configure;
+    std::uint64_t golden;
+  };
+  const DeepCase cases[] = {
+      {"deep_queue_cpus1", [](SimConfig& c) { c.hw.cpus = 1; },
+       0x27bba7f899028ffa},
+      {"deep_queue_cpus2", [](SimConfig& c) { c.hw.cpus = 2; },
+       0x8688e8ba54b86615},
+      {"deep_queue_cpus16", [](SimConfig& c) { c.hw.cpus = 16; },
+       0xb67b6ca7642d58ef},
+      {"deep_queue_cpus4_bound_prio",
+       [](SimConfig& c) {
+         c.hw.cpus = 4;
+         // Consumers are T2..T186, producers T187..T556.  Eight
+         // producers spread over the CPUs, two of them also raised.
+         for (int k = 0; k < 8; ++k) {
+           ThreadPolicy bound;
+           bound.override_binding = true;
+           bound.binding = Binding::kBoundCpu;
+           bound.cpu = k % 4;
+           if (k % 4 == 1) {
+             bound.override_priority = true;
+             bound.priority = 3;
+           }
+           c.sched.thread_policy[200 + 45 * k] = bound;
+         }
+         for (ThreadId tid = 300; tid < 340; tid += 4) {
+           ThreadPolicy raised;
+           raised.override_priority = true;
+           raised.priority = tid % 8 == 0 ? 5 : 2;
+           c.sched.thread_policy[tid] = raised;
+         }
+       },
+       0xb5b5856b8723336f},
+  };
+  for (const DeepCase& dc : cases) {
+    SimConfig cfg;
+    dc.configure(cfg);
+    ASSERT_TRUE(cfg.build_timeline);
+    const SimResult r = simulate(compiled, cfg);
+    EXPECT_GT(r.engine.max_runq_depth, 64u) << dc.name;
+    const std::uint64_t actual = digest(r);
+    EXPECT_EQ(actual, dc.golden)
+        << dc.name << ": actual digest " << hex(actual) << " (golden "
+        << hex(dc.golden) << ")";
   }
 }
 
