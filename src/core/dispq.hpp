@@ -1,4 +1,4 @@
-// Solaris-style dispatch queues for the engine's two scheduling levels.
+// Solaris-style dispatch queue for the engine's library level.
 //
 // Solaris dispatches kernel threads through `dispq`: an array of FIFO
 // run queues, one per global priority, plus a bitmap of non-empty
@@ -6,22 +6,16 @@
 // sets its bit; picking the next thread finds the highest set bit and
 // takes that queue's head — both O(1) in the number of queued threads.
 // The engine reproduces that shape at the library level (unbound
-// threads waiting for an LWP, bucketed by user priority) and at the
-// kernel level (LWPs waiting for a CPU, bucketed by user priority ×
-// TS level), replacing the sort-per-step scheduler it started with.
+// threads waiting for an LWP, bucketed by user priority), replacing the
+// sort-per-step scheduler it started with.  The kernel level (LWPs
+// waiting for a CPU) rebuilds its waiter list on every pass and selects
+// from it by linear scan instead; see DESIGN.md.
 //
-// Two usage patterns share the structure:
-//
-//  * A persistent queue with lazy deletion (the library level).  The
-//    owner stamps every entry with an epoch; bumping the epoch outside
-//    the queue invalidates the entry in place, and `invalidate()`
-//    keeps the per-bucket live count (and the bitmap) in step.  The
-//    stale husk is discarded when a later `scan` walks over it.
-//  * A scratch queue rebuilt from scratch before each decision (the
-//    kernel level): every entry is live, so `top()`/`pop_top()` read
-//    the best entry directly.  `clear()` is O(buckets touched since
-//    the last clear), not O(levels), so a mostly-idle queue stays
-//    cheap to recycle.
+// The queue is persistent, with lazy deletion.  The owner stamps every
+// entry with an epoch; bumping the epoch outside the queue invalidates
+// the entry in place, and `invalidate()` keeps the per-bucket live
+// count (and the bitmap) in step.  The stale husk is discarded when a
+// later `scan` walks over it.
 #pragma once
 
 #include <bit>
@@ -87,18 +81,17 @@ class DispQueue {
     kTake,  ///< pop this entry and stop the scan
   };
 
-  /// Sizes the queue for `levels` buckets and empties it.  Re-configuring
-  /// to the same level count (a reused engine workspace running the same
-  /// program again) recycles the bucket storage instead of freeing it.
+  /// Sizes the queue for `levels` buckets and empties it.  Surviving
+  /// buckets keep their storage, so a reused engine workspace running
+  /// the same program again allocates nothing.
   void configure(int levels) {
-    if (static_cast<std::size_t>(levels) == buckets_.size()) {
-      clear();
-      return;
-    }
-    buckets_.clear();
     buckets_.resize(static_cast<std::size_t>(levels));
+    for (Bucket& b : buckets_) {
+      b.q.clear();
+      b.head = 0;
+      b.live = 0;
+    }
     bits_.configure(levels);
-    touched_.clear();
     live_total_ = 0;
   }
 
@@ -108,10 +101,6 @@ class DispQueue {
   /// order is always by seq regardless of arrival order.
   void insert(int level, Item item, std::uint64_t seq, std::uint32_t epoch) {
     Bucket& b = buckets_[static_cast<std::size_t>(level)];
-    if (!b.touched) {
-      b.touched = true;
-      touched_.push_back(level);
-    }
     if (b.live == 0) bits_.set(level);
     ++b.live;
     ++live_total_;
@@ -159,41 +148,6 @@ class DispQueue {
     return Item{};
   }
 
-  /// Best entry, assuming every queued entry is live (scratch usage —
-  /// rebuilt queues with no lazy deletions).  nullptr when empty.
-  const Entry* top() const {
-    const int level = bits_.highest();
-    if (level < 0) return nullptr;
-    const Bucket& b = buckets_[static_cast<std::size_t>(level)];
-    return &b.q[b.head];
-  }
-
-  /// Pops the entry `top()` returned.  Same all-live assumption.
-  Item pop_top() {
-    const int level = bits_.highest();
-    Bucket& b = buckets_[static_cast<std::size_t>(level)];
-    Item out = b.q[b.head].item;
-    ++b.head;
-    --b.live;
-    --live_total_;
-    if (b.live == 0) reset_bucket(b, level);
-    return out;
-  }
-
-  /// Empties the queue in O(buckets touched since the last clear).
-  void clear() {
-    for (const int level : touched_) {
-      Bucket& b = buckets_[static_cast<std::size_t>(level)];
-      b.q.clear();
-      b.head = 0;
-      b.live = 0;
-      b.touched = false;
-      bits_.clear(level);
-    }
-    touched_.clear();
-    live_total_ = 0;
-  }
-
   /// Entries inserted and not yet taken or invalidated, across all
   /// buckets.  Zero means a scan cannot take anything, letting callers
   /// skip it in O(1).
@@ -204,7 +158,6 @@ class DispQueue {
     std::vector<Entry> q;
     std::size_t head = 0;   ///< physical entries before this are consumed
     std::size_t live = 0;   ///< entries not lazily deleted
-    bool touched = false;   ///< on the touched_ list
   };
 
   void reset_bucket(Bucket& b, int level) {
@@ -217,7 +170,6 @@ class DispQueue {
 
   std::vector<Bucket> buckets_;
   PrioBitmap bits_;
-  std::vector<int> touched_;
   std::size_t live_total_ = 0;
 };
 

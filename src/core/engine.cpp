@@ -184,7 +184,6 @@ class Engine {
   void attach_unbound_threads();
   void dispatch_lwps();
   void dispatch_linear();
-  void dispatch_queued();
   void place(Lwp& lwp, int cpu);
   void unplace(Lwp& lwp);
   void emit_lwp_segment(Lwp& lwp);
@@ -283,18 +282,6 @@ class Engine {
   // priority (rank into prios_), ordered by lib_seq within a bucket.
   std::vector<int> prios_;  ///< sorted distinct user priorities
   DispQueue<Th*> rq_;
-
-  // Kernel level: scratch queues rebuilt per dispatch decision.
-  struct KWaiter {
-    Lwp* lwp;
-    int uprio;
-    int ts;
-    std::uint64_t seq;
-  };
-  DispQueue<KWaiter> kq_;                       ///< unbound-CPU waiters
-  bool kq_ready_ = false;                       ///< kq_ buckets allocated
-  std::vector<std::vector<KWaiter>> kq_bound_;  ///< per-CPU bound waiters
-  std::vector<int> kq_bound_touched_;
 
   /// Idle non-dedicated LWPs, one bit per LWP id.  Attach reuses the
   /// lowest-numbered free LWP first (like the heap it replaces), found
@@ -581,12 +568,6 @@ void Engine::init_threads() {
   std::sort(prios_.begin(), prios_.end());
   prios_.erase(std::unique(prios_.begin(), prios_.end()), prios_.end());
   rq_.configure(static_cast<int>(prios_.size()));
-  // kq_ is configured lazily by dispatch_queued(): its bucket array is
-  // prios × TS levels, and most runs never see > 64 waiting LWPs.
-  kq_ready_ = false;
-  for (auto& list : kq_bound_) list.clear();
-  kq_bound_touched_.clear();
-  kq_bound_.resize(static_cast<std::size_t>(cfg_->hw.cpus));
 
   // Per-kind object tables presized from the program's id bounds and
   // reset in place (wait-queue buffers survive).
@@ -791,20 +772,13 @@ void Engine::dispatch_lwps() {
   ++ec_.sched_passes;
   ec_.max_runq_depth =
       std::max<std::uint64_t>(ec_.max_runq_depth, disp_scratch_.size());
-
-  // With a handful of waiters (the overwhelmingly common case: at most
-  // a few more runnable LWPs than CPUs), direct linear selection beats
-  // setting up the bucket queues.  The dispatch order — (user prio, TS
-  // level, FIFO), a total order since disp_seq is unique — is the same
-  // either way, so the paths are interchangeable decision-for-decision.
-  if (disp_scratch_.size() <= 64) {
-    dispatch_linear();
-  } else {
-    dispatch_queued();
-  }
+  dispatch_linear();
 }
 
-/// Small-waiter dispatch: selection by linear scan of disp_scratch_.
+/// Kernel-level selection by linear scan of disp_scratch_, in the
+/// Solaris dispatch order (user prio, TS level, FIFO) — a total order,
+/// since disp_seq is unique.  The waiter list is rebuilt every pass, so
+/// bucketing it first costs more than it saves, even with ~555 waiters.
 void Engine::dispatch_linear() {
   auto better = [](const Lwp& a, const Lwp& b) {
     const int ua = a.th->prio, ub = b.th->prio;
@@ -862,119 +836,6 @@ void Engine::dispatch_linear() {
     ++ec_.preemptions;
     unplace(victim);
     place(*take(ci), victim_cpu);
-  }
-}
-
-/// Large-waiter dispatch: Solaris dispq selection.  Unbound-CPU waiters
-/// go into per-(user-priority rank × TS level) buckets; CPU-bound ones
-/// onto small per-CPU lists.
-void Engine::dispatch_queued() {
-  if (!kq_ready_) {
-    kq_.configure(static_cast<int>(prios_.size()) * kTsLevels);
-    kq_ready_ = true;
-  }
-  kq_.clear();
-  for (const int cpu : kq_bound_touched_)
-    kq_bound_[static_cast<std::size_t>(cpu)].clear();
-  kq_bound_touched_.clear();
-
-  for (Lwp* lp : disp_scratch_) {
-    Lwp& lwp = *lp;
-    const KWaiter kw{&lwp, lwp.th->prio, lwp.ts_level, lwp.disp_seq};
-    if (lwp.bound_cpu >= 0) {
-      auto& list = kq_bound_[static_cast<std::size_t>(lwp.bound_cpu)];
-      if (list.empty()) kq_bound_touched_.push_back(lwp.bound_cpu);
-      list.push_back(kw);
-    } else {
-      const int ts = std::clamp(lwp.ts_level, 0, kTsLevels - 1);
-      kq_.insert(rank_of(kw.uprio) * kTsLevels + ts, kw, kw.seq, 0);
-    }
-  }
-
-  // (user priority, TS level, FIFO) — the dispatch order.
-  auto better = [](const KWaiter& a, const KWaiter& b) {
-    if (a.uprio != b.uprio) return a.uprio > b.uprio;
-    if (a.ts != b.ts) return a.ts > b.ts;
-    return a.seq < b.seq;
-  };
-  auto best_bound_for = [&](int cpu) {
-    const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-    std::size_t best = list.size();
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (best == list.size() || better(list[i], list[best])) best = i;
-    }
-    return best;
-  };
-  auto pop_bound = [&](int cpu, std::size_t i) {
-    auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-    const KWaiter out = list[i];
-    list[i] = list.back();
-    list.pop_back();
-    return out;
-  };
-
-  // Fill idle CPUs in ascending order with the best allowed waiter:
-  // the unbound queue's head vs the CPU's own bound list.
-  for (int cpu = 0; idle_cpus_ > 0 && cpu < cfg_->hw.cpus; ++cpu) {
-    if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
-    const auto* ub = kq_.top();
-    const std::size_t bi = best_bound_for(cpu);
-    const auto& blist = kq_bound_[static_cast<std::size_t>(cpu)];
-    if (ub != nullptr && (bi == blist.size() || better(ub->item, blist[bi]))) {
-      place(*kq_.pop_top().lwp, cpu);
-    } else if (bi != blist.size()) {
-      place(*pop_bound(cpu, bi).lwp, cpu);
-    }
-  }
-
-  // Preemption: the strongest waiter overall evicts the weakest
-  // running LWP it may run on; stop at the first contender that finds
-  // no victim with a strictly lower (user prio, TS level).
-  for (;;) {
-    const auto* ub = kq_.top();
-    bool have = ub != nullptr;
-    KWaiter contender = have ? ub->item : KWaiter{};
-    int contender_bcpu = -1;
-    std::size_t contender_bi = 0;
-    for (const int cpu : kq_bound_touched_) {
-      const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        if (!have || better(list[i], contender)) {
-          have = true;
-          contender = list[i];
-          contender_bcpu = cpu;
-          contender_bi = i;
-        }
-      }
-    }
-    if (!have) break;
-
-    int victim_cpu = -1;
-    std::pair<int, int> victim_key(contender.uprio, contender.ts);
-    for (int cpu = 0; cpu < cfg_->hw.cpus; ++cpu) {
-      const int lid = cpu_lwp_[static_cast<std::size_t>(cpu)];
-      if (lid < 0) continue;
-      if (contender.lwp->bound_cpu >= 0 && contender.lwp->bound_cpu != cpu)
-        continue;
-      const Lwp& running = lwps_[static_cast<std::size_t>(lid)];
-      const std::pair<int, int> running_key(
-          running.th == nullptr ? 0 : running.th->prio, running.ts_level);
-      if (running_key < victim_key) {
-        victim_key = running_key;
-        victim_cpu = cpu;
-      }
-    }
-    if (victim_cpu < 0) break;
-    if (contender_bcpu >= 0) {
-      pop_bound(contender_bcpu, contender_bi);
-    } else {
-      kq_.pop_top();
-    }
-    Lwp& victim = lwps_[static_cast<std::size_t>(
-        cpu_lwp_[static_cast<std::size_t>(victim_cpu)])];
-    ++ec_.preemptions;
-    unplace(victim);
-    place(*contender.lwp, victim_cpu);
   }
 }
 

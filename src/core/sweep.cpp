@@ -142,7 +142,7 @@ SpeedupCurve SweepRunner::sweep(const CompiledTrace& compiled,
     point_span.arg("cpus", cpus);
     SimConfig cfg = base;
     cfg.hw.cpus = cpus;
-    if (!options.honor_build_timeline) cfg.build_timeline = false;
+    cfg.build_timeline = false;
     SimResult r = run(compiled, cfg, options.guard);
     SweepPoint& p = points[i];
     p.cpus = cpus;

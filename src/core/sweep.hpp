@@ -72,14 +72,9 @@ struct SweepOptions {
   /// Reuse an already-running util::ThreadPool instead of spinning one
   /// up per call (jobs is ignored when set).
   util::ThreadPool* pool = nullptr;
-  /// By default the sweep forces `build_timeline = false` on every
-  /// point — a sweep wants the speed-up numbers, and building (then
-  /// discarding) full timelines would dominate the cost.  Set this to
-  /// honor `base.build_timeline` instead, together with `results` to
-  /// receive the timelines.
-  bool honor_build_timeline = false;
   /// When non-null, receives the full SimResult of every point, in
-  /// `cpu_counts` order (the vector is resized to match).
+  /// `cpu_counts` order (the vector is resized to match), built without
+  /// timelines like every sweep point.
   std::vector<SimResult>* results = nullptr;
   /// Optional governance: checked before each sweep point and polled
   /// inside every simulation.  One guard covers the whole sweep, so a
@@ -130,16 +125,16 @@ class SweepRunner {
 };
 
 /// Simulates the compiled trace at each CPU count (other parameters from
-/// `base`; its cpu count is ignored).  NOTE: this overload — and the
-/// four-argument one under default options — forces
-/// `base.build_timeline` off for every point; see
-/// SweepOptions::honor_build_timeline to override.
+/// `base`; its cpu count is ignored).  Every point runs with
+/// `build_timeline` off whatever `base` asks: a sweep wants the speed-up
+/// numbers, and building (then discarding) full timelines would
+/// dominate the cost.
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base);
 
-/// As above, with explicit execution options (parallelism, timeline
-/// handling, per-point result capture).
+/// As above, with explicit execution options (parallelism, per-point
+/// result capture, governance).
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base, const SweepOptions& options);

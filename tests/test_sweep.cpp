@@ -139,23 +139,14 @@ TEST(SweepTest, SweepOptionsCapturesResultsAndTimelines) {
   std::vector<SimResult> results;
   SweepOptions opt;
   opt.jobs = 2;
-  opt.honor_build_timeline = true;
   opt.results = &results;
   const SpeedupCurve curve = sweep_cpus(c, counts, base, opt);
   ASSERT_EQ(results.size(), 2u);
+  // Sweeps discard timelines even when the base asks for one.
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].total, curve.points()[i].total);
-    EXPECT_FALSE(results[i].segments.empty())
-        << "honor_build_timeline must keep per-point timelines";
+    EXPECT_TRUE(results[i].segments.empty());
   }
-
-  // The default path discards timelines even when the base asks for one.
-  std::vector<SimResult> bare;
-  SweepOptions defaults;
-  defaults.results = &bare;
-  sweep_cpus(c, counts, base, defaults);
-  ASSERT_EQ(bare.size(), 2u);
-  EXPECT_TRUE(bare[0].segments.empty());
 }
 
 }  // namespace
