@@ -2,9 +2,9 @@
 // primitives, the challenge–response handshake (accept, reject, replay,
 // truncation, downgrade refusal), bounded socket operations (connect
 // deadlines, send timeouts, total-frame deadlines, partial writes under
-// a tiny SO_SNDBUF), the server's idle-reap and frame-ceiling defenses,
-// the membership pool's bound + idle reaper, and the netem relay's
-// fault schedules.  `ctest -L net` runs this suite; it is tsan-clean —
+// a tiny SO_SNDBUF), the idle-reap and frame-ceiling defenses of both
+// the server's and the proxy's listener, the membership pool's bound +
+// idle reaper, and the netem relay's fault schedules.  `ctest -L net` runs this suite; it is tsan-clean —
 // every cross-thread handoff goes through sockets or joins.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,12 +17,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/membership.hpp"
+#include "cluster/proxy.hpp"
+#include "obs/metrics.hpp"
 #include "server/auth.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -426,36 +429,132 @@ TEST(SocketHardeningTest, RecvDeadlineDefeatsByteTrickle) {
   trickler.join();
 }
 
-// ---- the server's accept-path defenses -------------------------------------
+// ---- the accept-path defenses, on both tiers -------------------------------
+
+/// The listener options ServerOptions and ProxyOptions share by name.
+struct ListenerSpec {
+  std::string unix_path;  ///< empty = loopback TCP on an ephemeral port
+  std::string auth_key;
+  std::int64_t auth_timeout_ms = 5000;
+  std::int64_t idle_timeout_ms = 0;
+  std::int64_t frame_deadline_ms = 0;
+  std::size_t max_request_frame_bytes = 0;
+  int jobs = 1;  ///< server workers (the proxy's shard gets the same)
+};
+
+enum class Tier { kServer, kProxy };
+
+const char* tier_name(Tier t) { return t == Tier::kServer ? "server" : "proxy"; }
+
+template <typename Options>
+Options listener_options(const ListenerSpec& spec) {
+  Options o;
+  o.unix_path = spec.unix_path;
+  o.tcp_port = 0;
+  o.auth_key = spec.auth_key;
+  o.auth_timeout_ms = spec.auth_timeout_ms;
+  o.idle_timeout_ms = spec.idle_timeout_ms;
+  o.frame_deadline_ms = spec.frame_deadline_ms;
+  o.max_request_frame_bytes = spec.max_request_frame_bytes;
+  return o;
+}
+
+std::uint64_t registry_count(const char* name) {
+  return obs::Registry::global().counter(name, "").value();
+}
+
+/// One tier started with `spec`: a vppbd, or a proxy in front of one
+/// in-process unix-socket shard.  The reject counters are the tier's
+/// own: the server's stats reply, or — since a proxy's stats reply
+/// carries shard stats — the proxy's counters in the process-wide
+/// registry, as a delta over this rig's lifetime.
+class TierRig {
+ public:
+  TierRig(Tier tier, const ListenerSpec& spec) : tier_(tier) {
+    if (tier == Tier::kServer) {
+      ServerOptions so = listener_options<ServerOptions>(spec);
+      so.jobs = spec.jobs;
+      server_ = std::make_unique<Server>(so);
+      server_->start();
+      return;
+    }
+    ServerOptions shard;
+    shard.unix_path = shard_sock_.path();
+    shard.jobs = spec.jobs;
+    shard.shard_id = 1;
+    server_ = std::make_unique<Server>(shard);
+    server_->start();
+    cluster::ProxyOptions po = listener_options<cluster::ProxyOptions>(spec);
+    po.shards.push_back(cluster::ShardEndpoint::parse(1, shard_sock_.path()));
+    proxy_ = std::make_unique<cluster::Proxy>(po);
+    proxy_->start();
+    auth0_ = registry_count("vppb_proxy_auth_failures_total");
+    reaps0_ = registry_count("vppb_proxy_idle_reaps_total");
+  }
+  ~TierRig() {
+    if (proxy_) proxy_->stop();
+    server_->stop();
+  }
+
+  std::uint16_t tcp_port() const {
+    return proxy_ ? proxy_->tcp_port() : server_->tcp_port();
+  }
+
+  std::uint64_t auth_failures(Client& c) const {
+    if (tier_ == Tier::kServer) return fetch_stats(c).auth_failures;
+    // The proxy counts a rejection after the peer has seen it, and this
+    // read takes no round trip through the proxy: give its thread a
+    // moment to land the increment.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    std::uint64_t n = 0;
+    while ((n = registry_count("vppb_proxy_auth_failures_total") - auth0_) ==
+               0 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return n;
+  }
+  std::uint64_t idle_reaps(Client& c) const {
+    if (tier_ == Tier::kServer) return fetch_stats(c).idle_reaps;
+    return registry_count("vppb_proxy_idle_reaps_total") - reaps0_;
+  }
+
+ private:
+  Tier tier_;
+  TempFile shard_sock_{"shard"};
+  std::unique_ptr<Server> server_;
+  std::unique_ptr<cluster::Proxy> proxy_;
+  std::uint64_t auth0_ = 0;
+  std::uint64_t reaps0_ = 0;
+};
+
+constexpr Tier kTiers[] = {Tier::kServer, Tier::kProxy};
 
 TEST(ServerAuthTest, TcpEndToEndWithKey) {
-  ServerOptions so;
-  so.tcp_port = 0;
-  so.jobs = 2;
-  so.auth_key = "integration-key";
-  Server server(so);
-  server.start();
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    ListenerSpec spec;
+    spec.auth_key = "integration-key";
+    spec.jobs = 2;
+    TierRig rig(tier, spec);
 
-  Client good = Client::connect_tcp("", server.tcp_port(),
-                                    "integration-key", 2000);
-  Request req;
-  req.type = ReqType::kHealth;
-  const Response r = good.call(req);
-  ASSERT_EQ(r.status, Status::kOk) << r.error;
-  EXPECT_TRUE(r.ready);
+    Client good =
+        Client::connect_tcp("", rig.tcp_port(), "integration-key", 2000);
+    Request req;
+    req.type = ReqType::kHealth;
+    const Response r = good.call(req);
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_TRUE(r.ready);
 
-  // Wrong key: a typed AuthError before any frame is exchanged, and
-  // the server's stats count the rejection.
-  EXPECT_THROW(
-      Client::connect_tcp("", server.tcp_port(), "not-the-key", 2000),
-      AuthError);
-  // Missing key: same typed rejection, client-side.
-  EXPECT_THROW(Client::connect_tcp("", server.tcp_port(), "", 2000),
-               AuthError);
+    // Wrong key: a typed AuthError before any frame is exchanged, and
+    // the tier counts the rejection.
+    EXPECT_THROW(Client::connect_tcp("", rig.tcp_port(), "not-the-key", 2000),
+                 AuthError);
+    // Missing key: same typed rejection, client-side.
+    EXPECT_THROW(Client::connect_tcp("", rig.tcp_port(), "", 2000), AuthError);
 
-  const StatsBody stats = fetch_stats(good);
-  EXPECT_GE(stats.auth_failures, 1u);
-  server.stop();
+    EXPECT_GE(rig.auth_failures(good), 1u);
+  }
 }
 
 TEST(ServerAuthTest, AuthErrorIsNeverRetried) {
@@ -477,98 +576,95 @@ TEST(ServerAuthTest, AuthErrorIsNeverRetried) {
 }
 
 TEST(ServerAuthTest, SlowlorisIsReaped) {
-  ServerOptions so;
-  so.tcp_port = 0;
-  so.jobs = 1;
-  so.auth_key = "reap-key";
-  so.idle_timeout_ms = 200;
-  Server server(so);
-  server.start();
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    ListenerSpec spec;
+    spec.auth_key = "reap-key";
+    spec.idle_timeout_ms = 200;
+    TierRig rig(tier, spec);
 
-  // An authenticated client that then goes silent: the connection must
-  // not outlive the idle deadline.
-  Client idler = Client::connect_tcp("", server.tcp_port(), "reap-key", 2000);
-  Request health;
-  health.type = ReqType::kHealth;
-  ASSERT_EQ(idler.call(health).status, Status::kOk);
-  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    // An authenticated client that then goes silent: the connection
+    // must not outlive the idle deadline.
+    Client idler = Client::connect_tcp("", rig.tcp_port(), "reap-key", 2000);
+    Request health;
+    health.type = ReqType::kHealth;
+    ASSERT_EQ(idler.call(health).status, Status::kOk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(700));
 
-  Client fresh = Client::connect_tcp("", server.tcp_port(), "reap-key", 2000);
-  const StatsBody stats = fetch_stats(fresh);
-  EXPECT_GE(stats.idle_reaps, 1u)
-      << "the idle connection must have been reaped";
-  server.stop();
+    Client fresh = Client::connect_tcp("", rig.tcp_port(), "reap-key", 2000);
+    EXPECT_GE(rig.idle_reaps(fresh), 1u)
+        << "the idle connection must have been reaped";
+  }
 }
 
 TEST(ServerHardeningTest, OversizedFrameHeaderRejected) {
-  TempFile sock("oversized");
-  ServerOptions so;
-  so.unix_path = sock.path();
-  so.jobs = 1;
-  so.max_request_frame_bytes = 1 << 20;
-  Server server(so);
-  server.start();
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    TempFile sock("oversized");
+    ListenerSpec spec;
+    spec.unix_path = sock.path();
+    spec.max_request_frame_bytes = 1 << 20;
+    TierRig rig(tier, spec);
 
-  // A hostile length prefix far above the configured ceiling: the
-  // server must drop the connection without allocating the claimed
-  // buffer (the ceiling is checked before the body read).
-  {
-    Socket raw = util::connect_unix(sock.path());
-    const std::uint32_t claimed = 48u << 20;
-    std::uint8_t hdr[4] = {
-        static_cast<std::uint8_t>(claimed & 0xff),
-        static_cast<std::uint8_t>((claimed >> 8) & 0xff),
-        static_cast<std::uint8_t>((claimed >> 16) & 0xff),
-        static_cast<std::uint8_t>((claimed >> 24) & 0xff)};
-    raw.send_all(hdr, sizeof hdr);
-    std::uint8_t byte = 0;
-    // The server closes on us; EOF (0) or a reset both prove it.
-    try {
-      EXPECT_EQ(raw.recv_exact(&byte, 1), 0u);
-    } catch (const Error&) {
+    // A hostile length prefix far above the configured ceiling: the
+    // tier must drop the connection without allocating the claimed
+    // buffer (the ceiling is checked before the body read).
+    {
+      Socket raw = util::connect_unix(sock.path());
+      const std::uint32_t claimed = 48u << 20;
+      std::uint8_t hdr[4] = {
+          static_cast<std::uint8_t>(claimed & 0xff),
+          static_cast<std::uint8_t>((claimed >> 8) & 0xff),
+          static_cast<std::uint8_t>((claimed >> 16) & 0xff),
+          static_cast<std::uint8_t>((claimed >> 24) & 0xff)};
+      raw.send_all(hdr, sizeof hdr);
+      std::uint8_t byte = 0;
+      // The tier closes on us; EOF (0) or a reset both prove it.
+      try {
+        EXPECT_EQ(raw.recv_exact(&byte, 1), 0u);
+      } catch (const Error&) {
+      }
     }
+    // The listener itself is unharmed.
+    Client c = Client::connect_unix(sock.path());
+    Request health;
+    health.type = ReqType::kHealth;
+    EXPECT_EQ(c.call(health).status, Status::kOk);
   }
-  // The daemon itself is unharmed.
-  Client c = Client::connect_unix(sock.path());
-  Request health;
-  health.type = ReqType::kHealth;
-  EXPECT_EQ(c.call(health).status, Status::kOk);
-  server.stop();
 }
 
 TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
-  TempFile sock("trickle");
-  ServerOptions so;
-  so.unix_path = sock.path();
-  so.jobs = 1;
-  so.frame_deadline_ms = 300;
-  Server server(so);
-  server.start();
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    TempFile sock("trickle");
+    ListenerSpec spec;
+    spec.unix_path = sock.path();
+    spec.frame_deadline_ms = 300;
+    TierRig rig(tier, spec);
 
-  {
-    Socket raw = util::connect_unix(sock.path());
-    const std::uint32_t claimed = 1000;
-    std::uint8_t hdr[4] = {
-        static_cast<std::uint8_t>(claimed & 0xff),
-        static_cast<std::uint8_t>((claimed >> 8) & 0xff), 0, 0};
-    raw.send_all(hdr, sizeof hdr);
-    // Trickle the body at one byte per 50 ms: the total frame deadline
-    // must cut us off long before the 1000 bytes arrive.
-    const std::uint8_t b = 0;
-    try {
-      for (int i = 0; i < 40; ++i) {
-        raw.send_all(&b, 1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    {
+      Socket raw = util::connect_unix(sock.path());
+      const std::uint32_t claimed = 1000;
+      std::uint8_t hdr[4] = {
+          static_cast<std::uint8_t>(claimed & 0xff),
+          static_cast<std::uint8_t>((claimed >> 8) & 0xff), 0, 0};
+      raw.send_all(hdr, sizeof hdr);
+      // Trickle the body at one byte per 50 ms: the total frame
+      // deadline must cut us off long before the 1000 bytes arrive.
+      const std::uint8_t b = 0;
+      try {
+        for (int i = 0; i < 40; ++i) {
+          raw.send_all(&b, 1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        FAIL() << "tier kept reading a trickled frame past its deadline";
+      } catch (const Error&) {
+        // The tier dropped us: exactly the point.
       }
-      FAIL() << "server kept reading a trickled frame past its deadline";
-    } catch (const Error&) {
-      // The server dropped us: exactly the point.
     }
+    Client c = Client::connect_unix(sock.path());
+    EXPECT_GE(rig.idle_reaps(c), 1u);
   }
-  Client c = Client::connect_unix(sock.path());
-  const StatsBody stats = fetch_stats(c);
-  EXPECT_GE(stats.idle_reaps, 1u);
-  server.stop();
 }
 
 // ---- membership pool bound + reaper ----------------------------------------
