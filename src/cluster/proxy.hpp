@@ -87,8 +87,8 @@
 #include "cluster/quota.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
+#include "server/frame_server.hpp"
 #include "server/protocol.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vppb::cluster {
@@ -170,12 +170,14 @@ class Proxy {
 
   /// Binds the endpoint, probes every shard once, and starts serving.
   /// Not an error if all shards are down (the prober keeps trying; the
-  /// proxy answers kError until one comes up).
+  /// proxy answers kError until one comes up).  Throws vppb::Error when
+  /// the endpoint cannot be bound or a listener time limit is out of
+  /// range, before any thread starts.
   void start();
   void stop();  ///< graceful drain; idempotent
 
-  const std::string& endpoint() const { return endpoint_; }
-  std::uint16_t tcp_port() const { return port_; }
+  const std::string& endpoint() const { return frames_.endpoint(); }
+  std::uint16_t tcp_port() const { return frames_.tcp_port(); }
   Membership& membership() { return membership_; }
 
   /// True when a brownout trigger holds right now; fills the live /
@@ -184,12 +186,6 @@ class Proxy {
                        std::size_t* total = nullptr) const;
 
  private:
-  struct Conn {
-    util::Socket sock;
-    std::thread thread;
-    std::uint64_t key = 0;  ///< fallback identity for anonymous clients
-  };
-
   /// One proxy-cached compute response: the answer, when it landed,
   /// and which shard incarnations have served this exact request
   /// (warm-replica preference during failover).
@@ -222,8 +218,10 @@ class Proxy {
     std::vector<std::size_t> failed_shards;
   };
 
-  void accept_loop();
-  void serve_connection(Conn* conn);
+  /// The FrameServer handler: decode, execute, trace_id echo, encode.
+  /// `conn_id` is the fallback identity for anonymous clients.
+  std::vector<std::uint8_t> serve_frame(std::vector<std::uint8_t>& payload,
+                                        std::uint64_t conn_id);
   server::Response execute(const server::Request& req,
                            std::uint64_t conn_key);
   /// `tl` (optional) is the proxy-side stage timeline for
@@ -276,19 +274,11 @@ class Proxy {
   obs::SloTracker slo_;
   util::ThreadPool hedge_pool_;
 
-  util::Socket listener_;
-  std::string endpoint_;
-  std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
 
   std::mutex flight_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> flights_;
 
-  std::atomic<std::uint64_t> next_conn_key_{1};
   std::atomic<int> inflight_{0};  ///< compute requests being forwarded
   std::atomic<std::uint64_t> brownout_sheds_{0};
   std::atomic<std::uint64_t> stale_serves_{0};
@@ -303,6 +293,9 @@ class Proxy {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int tasks_live_ = 0;
+
+  // Last: its connection threads use every member above.
+  server::FrameServer frames_;
 };
 
 /// Sums `from` into `into`: counters add; latency percentiles take the

@@ -10,7 +10,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "server/auth.hpp"
 #include "server/handlers.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -24,7 +23,14 @@ using obs::LogLevel;
 Server::Server(ServerOptions opt)
     : opt_(opt),
       faults_(opt.faults ? opt.faults : &util::FaultPlan::global()),
-      cache_(opt.cache_entries, opt.cache_bytes, faults_) {
+      cache_(opt.cache_entries, opt.cache_bytes, faults_),
+      frames_(listener_options(opt, "server"),
+              [this](std::vector<std::uint8_t>& payload,
+                     std::uint64_t conn_id) {
+                return serve_frame(payload, conn_id);
+              },
+              FrameHooks{[this]() { metrics_.count_auth_failure(); },
+                         [this]() { metrics_.count_idle_reap(); }}) {
   if (opt_.pool) {
     pool_ = opt_.pool;
   } else {
@@ -39,14 +45,7 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   VPPB_CHECK_MSG(!running_.load(), "server already started");
-  if (!opt_.unix_path.empty()) {
-    listener_ = util::listen_unix(opt_.unix_path);
-    endpoint_ = opt_.unix_path;
-  } else {
-    port_ = opt_.tcp_port;
-    listener_ = util::listen_tcp(port_);
-    endpoint_ = strprintf("127.0.0.1:%u", port_);
-  }
+  frames_.bind();
   // Epoch: unique per process start.  Mixing the pid into the clock
   // reading keeps two shards forked in the same tick distinguishable.
   epoch_ = static_cast<std::uint64_t>(
@@ -60,33 +59,17 @@ void Server::start() {
   watchdog_stop_.store(false);
   if (opt_.watchdog_interval_ms > 0)
     watchdog_thread_ = std::thread(&Server::watchdog_loop, this);
-  accept_thread_ = std::thread(&Server::accept_loop, this);
+  frames_.start();
   obs::logf(LogLevel::kInfo, "server", "listening on %s (admission limit %d)",
-            endpoint_.c_str(), opt_.admission_limit);
+            frames_.endpoint().c_str(), opt_.admission_limit);
   if (faults_->armed())
     obs::logf(LogLevel::kWarn, "server", "fault injection armed: %s",
               faults_->summary().c_str());
 }
 
 void Server::stop() {
-  if (!running_.exchange(false)) {
-    // Never started, or a second stop(): still make sure a join from a
-    // racing first stop() is not skipped.
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-  {
-    // Half-close every connection's read side: its IO thread finishes
-    // the request it is on, delivers the response, then sees EOF.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  // The accept thread is gone, so conns_ is stable from here.
-  for (auto& c : conns_)
-    if (c->thread.joinable()) c->thread.join();
-  conns_.clear();
+  if (!running_.exchange(false)) return;
+  frames_.stop();
   // An abandoned worker task may still be running after its waiter
   // returned; it captures `this`, so it must finish before teardown.
   {
@@ -98,127 +81,56 @@ void Server::stop() {
   watchdog_stop_.store(true);
   watch_cv_.notify_all();
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
-  if (!opt_.unix_path.empty()) ::unlink(opt_.unix_path.c_str());
   obs::logf(LogLevel::kInfo, "server", "stopped (drained) on %s",
-            endpoint_.c_str());
+            frames_.endpoint().c_str());
 }
 
-void Server::accept_loop() {
-  while (running_.load()) {
-    util::Socket s = util::accept_with_timeout(listener_, 100);
-    if (!s.valid()) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load()) break;  // raced with stop(): drop the socket
-    conns_.push_back(std::make_unique<Conn>());
-    Conn* conn = conns_.back().get();
-    conn->sock = std::move(s);
-    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    conn->thread = std::thread(&Server::serve_connection, this, conn);
-  }
-}
-
-void Server::serve_connection(Conn* conn) {
-  // TCP peers must pass the v8 handshake before the first frame is
-  // read; the rejection is typed, bounded (fixed-size preamble, never a
-  // length-prefixed allocation), and pre-dispatch.  Unix sockets skip
-  // it — the socket file's permissions are the local trust boundary.
-  if (opt_.unix_path.empty()) {
-    try {
-      AuthConfig cfg;
-      cfg.key = opt_.auth_key;
-      cfg.handshake_timeout_ms = static_cast<int>(opt_.auth_timeout_ms);
-      auth_accept(conn->sock, cfg);
-    } catch (const AuthError& e) {
-      metrics_.count_auth_failure();
-      obs::logf(LogLevel::kWarn, "server", "auth failed: %s", e.what());
-      return;
-    } catch (const Error& e) {
-      metrics_.count_auth_failure();
-      obs::logf(LogLevel::kDebug, "server", "handshake dropped: %s",
-                e.what());
-      return;
-    }
-    // Half-open connections (peer host gone without a FIN) must die
-    // deterministically, not after the kernel's multi-hour default.
-    conn->sock.set_keepalive(/*idle_s=*/30, /*interval_s=*/10,
-                             /*probes=*/3, /*user_timeout_ms=*/45000);
-  }
-  if (opt_.idle_timeout_ms > 0)
-    conn->sock.set_recv_timeout(static_cast<int>(opt_.idle_timeout_ms));
-  FrameLimits limits;
-  if (opt_.max_request_frame_bytes > 0)
-    limits.max_bytes = opt_.max_request_frame_bytes;
-  limits.frame_deadline_ms = static_cast<int>(opt_.frame_deadline_ms);
+std::vector<std::uint8_t> Server::serve_frame(
+    std::vector<std::uint8_t>& payload, std::uint64_t conn_id) {
+  // Fault injection happens where real damage would: between the wire
+  // and the decoder.  A corrupted payload must come back as a typed
+  // kError response; a short read must cost exactly this connection and
+  // nothing else.
+  if (faults_->should_fire(util::FaultSite::kShortRead))
+    throw Error("injected short read: dropping connection");
+  if (!payload.empty() && faults_->should_fire(util::FaultSite::kCorruptFrame))
+    payload[payload.size() / 2] ^= 0x20;
+  Response resp;
+  std::uint64_t trace_id = 0;
   try {
-    std::vector<std::uint8_t> payload;
-    while (read_frame(conn->sock, payload, limits)) {
-      // Fault injection happens where real damage would: between the
-      // wire and the decoder.  A corrupted payload must come back as a
-      // typed kError response; a short read must cost exactly this
-      // connection and nothing else.
-      if (faults_->should_fire(util::FaultSite::kShortRead))
-        throw Error("injected short read: dropping connection");
-      if (!payload.empty() &&
-          faults_->should_fire(util::FaultSite::kCorruptFrame))
-        payload[payload.size() / 2] ^= 0x20;
-      Response resp;
-      std::uint64_t trace_id = 0;
-      try {
-        const Request req = decode_request(payload);
-        trace_id = req.trace_id;
-        resp = execute(req, conn->id);
-      } catch (const Error& e) {
-        // Undecodable but correctly framed request: answer, keep the
-        // connection (the framing itself is intact).
-        resp.status = Status::kError;
-        resp.error = e.what();
-        metrics_.count_error();
-      }
-      // Every response names its origin, not just the probe types: the
-      // routing tier attributes compute answers (failover, hedging) by
-      // the shard identity stamped here.
-      resp.shard_id = opt_.shard_id;
-      resp.epoch = epoch_;
-      resp.trace_id = trace_id;
-      if (resp.timeline.empty()) {
-        write_frame(conn->sock, encode(resp));
-      } else {
-        // The serialize stage cannot ride inside the bytes it measures;
-        // time a first encode, then re-encode with the stage appended
-        // (only timeline requests pay the double encode).
-        std::int64_t last_us = 0;
-        for (const StageSpan& sp : resp.timeline)
-          last_us = std::max(
-              last_us, sp.start_us + (sp.dur_us > 0 ? sp.dur_us : 0));
-        const auto s0 = std::chrono::steady_clock::now();
-        (void)encode(resp);
-        const std::int64_t ser_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - s0)
-                .count();
-        resp.timeline.push_back(StageSpan{
-            "serialize", last_us, std::max<std::int64_t>(ser_us, 1), 0});
-        write_frame(conn->sock, encode(resp));
-      }
-    }
-  } catch (const util::SocketTimeout& e) {
-    // Idle past the deadline, or a started frame trickling in too
-    // slowly: reap the connection.  The slot it held is free again and
-    // the server owes this peer nothing.
-    metrics_.count_idle_reap();
-    obs::logf(LogLevel::kInfo, "server", "idle connection reaped: %s",
-              e.what());
+    const Request req = decode_request(payload);
+    trace_id = req.trace_id;
+    resp = execute(req, conn_id);
   } catch (const Error& e) {
-    // Broken framing or a lost peer: the connection is the unit of
-    // failure — drop it, the server lives on.
-    obs::logf(LogLevel::kDebug, "server", "connection dropped: %s", e.what());
+    // Undecodable but correctly framed request: answer, keep the
+    // connection (the framing itself is intact).
+    resp.status = Status::kError;
+    resp.error = e.what();
+    metrics_.count_error();
   }
-  // The Conn object lives until stop() joins its thread, but the wire
-  // must not: shut the socket down now so a peer blocked on recv sees
-  // EOF the moment we stop serving it.  shutdown (not close) — stop()
-  // may concurrently shutdown_read() this fd, and closing here would
-  // race that against fd reuse.
-  conn->sock.shutdown_both();
+  // Every response names its origin, not just the probe types: the
+  // routing tier attributes compute answers (failover, hedging) by the
+  // shard identity stamped here.
+  resp.shard_id = opt_.shard_id;
+  resp.epoch = epoch_;
+  resp.trace_id = trace_id;
+  if (resp.timeline.empty()) return encode(resp);
+  // The serialize stage cannot ride inside the bytes it measures; time
+  // a first encode, then re-encode with the stage appended (only
+  // timeline requests pay the double encode).
+  std::int64_t last_us = 0;
+  for (const StageSpan& sp : resp.timeline)
+    last_us =
+        std::max(last_us, sp.start_us + (sp.dur_us > 0 ? sp.dur_us : 0));
+  const auto s0 = std::chrono::steady_clock::now();
+  (void)encode(resp);
+  const std::int64_t ser_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - s0)
+          .count();
+  resp.timeline.push_back(
+      StageSpan{"serialize", last_us, std::max<std::int64_t>(ser_us, 1), 0});
+  return encode(resp);
 }
 
 core::RunLimits Server::request_limits(const Request& req) const {

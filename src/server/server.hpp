@@ -1,10 +1,11 @@
 // vppbd — the resident prediction service.
 //
-// Threading model: one accept thread polls the listener; each accepted
-// connection gets a lightweight IO thread that reads one frame at a
-// time, runs the request through admission control, and writes the
-// response before reading the next frame (strict request/response per
-// connection — no reordering, no per-connection queues).  The compute
+// Threading model: a FrameServer (server/frame_server.hpp) owns the
+// listener, the accept thread and one lightweight IO thread per
+// connection; each frame it reads runs through admission control here,
+// and the response is written before the next frame is read (strict
+// request/response per connection — no reordering, no per-connection
+// queues).  The compute
 // itself runs on a shared util::ThreadPool: the IO thread posts the
 // handler and blocks for the result, so CPU-bound work is bounded by
 // the pool size no matter how many clients connect.
@@ -15,9 +16,10 @@
 // Status::kOverloaded.  Clients see explicit backpressure instead of
 // unbounded latency, and a misbehaving client cannot pile up work.
 //
-// stop() drains gracefully: stop accepting, half-close the read side of
-// every connection (in-flight requests finish and their responses are
-// delivered), join everything.  `vppb serve` wires SIGINT/SIGTERM to
+// stop() drains gracefully: the FrameServer stops accepting and
+// half-closes every connection (in-flight requests finish and their
+// responses are delivered), then the worker tasks and the watchdog are
+// joined.  `vppb serve` wires SIGINT/SIGTERM to
 // exactly this.
 //
 // Resource governance (the hang-proofing layer): every admitted request
@@ -51,11 +53,11 @@
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
 #include "server/deadline.hpp"
+#include "server/frame_server.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/trace_cache.hpp"
 #include "util/fault.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vppb::server {
@@ -162,15 +164,16 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds the endpoint and starts the accept thread.  Throws
-  /// vppb::Error when the endpoint cannot be bound.
+  /// vppb::Error when the endpoint cannot be bound or a listener time
+  /// limit is out of range, before any thread starts.
   void start();
 
   /// Graceful drain (see file comment).  Idempotent.
   void stop();
 
   /// Human-readable bound endpoint ("path.sock" or "127.0.0.1:port").
-  const std::string& endpoint() const { return endpoint_; }
-  std::uint16_t tcp_port() const { return port_; }
+  const std::string& endpoint() const { return frames_.endpoint(); }
+  std::uint16_t tcp_port() const { return frames_.tcp_port(); }
 
   /// Start-time epoch: unique per process start, so a routing tier can
   /// tell "the same shard restarted" (same id, new epoch — cold cache)
@@ -181,12 +184,6 @@ class Server {
   Metrics& metrics() { return metrics_; }
 
  private:
-  struct Conn {
-    util::Socket sock;
-    std::thread thread;
-    std::uint64_t id = 0;  ///< per-client fallback identity
-  };
-
   /// Shared state of one admitted request.  The IO thread waits on it;
   /// the worker delivers into it; the watchdog may cancel it or — when
   /// the worker is wedged — deliver a typed answer in the worker's
@@ -215,8 +212,10 @@ class Server {
     std::chrono::steady_clock::time_point cancelled_at{};
   };
 
-  void accept_loop();
-  void serve_connection(Conn* conn);
+  /// The FrameServer handler: fault injection, decode, execute, origin
+  /// stamp, encode.  `conn_id` is the per-client fallback identity.
+  std::vector<std::uint8_t> serve_frame(std::vector<std::uint8_t>& payload,
+                                        std::uint64_t conn_id);
   Response execute(const Request& req, std::uint64_t conn_key);
   Response dispatch(const Request& req, ReqState& st);
   Response stats_response();
@@ -242,17 +241,9 @@ class Server {
   Metrics metrics_;
   obs::SloTracker slo_;
 
-  util::Socket listener_;
-  std::string endpoint_;
-  std::uint16_t port_ = 0;
   std::uint64_t epoch_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<int> in_flight_{0};
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
 
   std::mutex client_mu_;
   std::unordered_map<std::uint64_t, int> client_in_flight_;
@@ -271,6 +262,9 @@ class Server {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int tasks_live_ = 0;
+
+  // Last: its connection threads use every member above.
+  FrameServer frames_;
 };
 
 }  // namespace vppb::server

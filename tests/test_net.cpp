@@ -447,7 +447,7 @@ enum class Tier { kServer, kProxy };
 const char* tier_name(Tier t) { return t == Tier::kServer ? "server" : "proxy"; }
 
 template <typename Options>
-Options listener_options(const ListenerSpec& spec) {
+Options tier_options(const ListenerSpec& spec) {
   Options o;
   o.unix_path = spec.unix_path;
   o.tcp_port = 0;
@@ -472,7 +472,7 @@ class TierRig {
  public:
   TierRig(Tier tier, const ListenerSpec& spec) : tier_(tier) {
     if (tier == Tier::kServer) {
-      ServerOptions so = listener_options<ServerOptions>(spec);
+      ServerOptions so = tier_options<ServerOptions>(spec);
       so.jobs = spec.jobs;
       server_ = std::make_unique<Server>(so);
       server_->start();
@@ -484,7 +484,7 @@ class TierRig {
     shard.shard_id = 1;
     server_ = std::make_unique<Server>(shard);
     server_->start();
-    cluster::ProxyOptions po = listener_options<cluster::ProxyOptions>(spec);
+    cluster::ProxyOptions po = tier_options<cluster::ProxyOptions>(spec);
     po.shards.push_back(cluster::ShardEndpoint::parse(1, shard_sock_.path()));
     proxy_ = std::make_unique<cluster::Proxy>(po);
     proxy_->start();
@@ -664,6 +664,25 @@ TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
     }
     Client c = Client::connect_unix(sock.path());
     EXPECT_GE(rig.idle_reaps(c), 1u);
+  }
+}
+
+TEST(ListenerLimitsTest, OutOfRangeTimeLimitsThrowAtStart) {
+  // The listener time limits are int64 options over an int socket
+  // layer: a value that does not fit must be refused at start(), not
+  // narrowed (a wrapped frame deadline reads as "unbounded").
+  for (const Tier tier : kTiers) {
+    SCOPED_TRACE(tier_name(tier));
+    for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{3000000000}}) {
+      SCOPED_TRACE(bad);
+      for (std::int64_t ListenerSpec::*field :
+           {&ListenerSpec::auth_timeout_ms, &ListenerSpec::idle_timeout_ms,
+            &ListenerSpec::frame_deadline_ms}) {
+        ListenerSpec spec;
+        spec.*field = bad;
+        EXPECT_THROW(TierRig(tier, spec), Error);
+      }
+    }
   }
 }
 
