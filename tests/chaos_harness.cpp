@@ -58,9 +58,9 @@
 #include "server/protocol.hpp"
 #include "server/trace_cache.hpp"
 #include "solaris/program.hpp"
+#include "support/netem.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
-#include "util/netem.hpp"
 #include "workloads/synthetic.hpp"
 
 #ifndef VPPB_EXE

@@ -1,4 +1,4 @@
-#include "util/netem.hpp"
+#include "support/netem.hpp"
 
 #include <unistd.h>
 

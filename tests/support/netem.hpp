@@ -27,8 +27,8 @@
 //                     direction (byte-trickle; defeats naive per-recv
 //                     timers, which is why frame deadlines exist)
 //
-// Used by the chaos harness for partition scenarios and exposed as
-// `vppb netem` for interactive experiments.
+// Test support only: test_net and the chaos harness's partition
+// schedule link it; the shipped libraries and the vppb CLI do not.
 #pragma once
 
 #include <atomic>

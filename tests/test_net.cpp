@@ -2,10 +2,12 @@
 // primitives, the challenge–response handshake (accept, reject, replay,
 // truncation, downgrade refusal), bounded socket operations (connect
 // deadlines, send timeouts, total-frame deadlines, partial writes under
-// a tiny SO_SNDBUF), the idle-reap and frame-ceiling defenses of both
-// the server's and the proxy's listener, the membership pool's bound +
-// idle reaper, and the netem relay's fault schedules.  `ctest -L net` runs this suite; it is tsan-clean —
-// every cross-thread handoff goes through sockets or joins.
+// a tiny SO_SNDBUF), the idle-reap, frame-ceiling and time-limit
+// defenses of the listener vppbd and the proxy share (each case runs
+// against both tiers), the membership pool's bound + idle reaper, and
+// the netem relay's fault schedules.  `ctest -L net` runs this suite;
+// it is tsan-clean — every cross-thread handoff goes through sockets or
+// joins.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -30,9 +32,9 @@
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "support/netem.hpp"
 #include "util/error.hpp"
 #include "util/hmac.hpp"
-#include "util/netem.hpp"
 #include "util/socket.hpp"
 
 namespace vppb::server {

@@ -50,7 +50,6 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/flags.hpp"
-#include "util/netem.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
@@ -121,12 +120,7 @@ int usage() {
       "  top [--interval-ms N] [--count N]\n"
       "        live per-shard dashboard: rps, p99, SLO burn rates,\n"
       "        brownout/stale counters (against a proxy or a vppbd)\n"
-      "  netem --target EP [--socket PATH | --port N] [--schedule S]\n"
-      "        [--seed N]\n"
-      "        fault-injection relay between two vppb endpoints; S is\n"
-      "        comma-separated delay-ms:N drop:P partition:START:DUR\n"
-      "        half-open:N trickle:B (seeded, reproducible)\n"
-      "  trace-collect [--out F] [--socket PATH | --port N]\n"
+          "  trace-collect [--out F] [--socket PATH | --port N]\n"
       "        drain span rings cluster-wide into one clock-aligned\n"
       "        Chrome trace JSON (pid = shard id, 0 = proxy); load it\n"
       "        at ui.perfetto.dev\n"
@@ -1092,52 +1086,6 @@ int cmd_stats(Flags& flags) {
   return 0;
 }
 
-/// `vppb netem`: the fault-injection relay as a standalone command, so
-/// hostile-network experiments need no test harness — point a proxy's
-/// --shards at the relay, point the relay's --target at the real shard,
-/// and pick a schedule.
-int cmd_netem(Flags& flags) {
-  util::NetemOptions opt;
-  opt.listen_unix = flags.str("socket");
-  opt.listen_port = static_cast<std::uint16_t>(flags.i64("port"));
-  const std::string target = flags.str("target");
-  if (target.empty())
-    throw Error("netem needs --target (a unix socket path, a port, or "
-                "host:port)");
-  const cluster::ShardEndpoint tep = cluster::ShardEndpoint::parse(1, target);
-  opt.target_unix = tep.unix_path;
-  opt.target_host = tep.host;
-  opt.target_port = tep.tcp_port;
-  opt.schedule = flags.str("schedule");
-  opt.seed = static_cast<std::uint64_t>(flags.i64("seed"));
-  if (flags.i64("connect-timeout-ms") > 0)
-    opt.connect_timeout_ms = static_cast<int>(flags.i64("connect-timeout-ms"));
-
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
-
-  util::NetemRelay relay(std::move(opt));
-  relay.start();
-  std::printf("vppb netem: relaying %s -> %s%s%s\n",
-              relay.endpoint().c_str(), target.c_str(),
-              flags.str("schedule").empty() ? "" : " with schedule ",
-              flags.str("schedule").c_str());
-  std::fflush(stdout);
-  int sig = 0;
-  sigwait(&set, &sig);
-  relay.stop();
-  std::printf("vppb netem: %llu connection(s), %llu cut, %llu bytes "
-              "forwarded, %llu black-holed\n",
-              static_cast<unsigned long long>(relay.connections()),
-              static_cast<unsigned long long>(relay.cut_connections()),
-              static_cast<unsigned long long>(relay.forwarded_bytes()),
-              static_cast<unsigned long long>(relay.blackholed_bytes()));
-  return 0;
-}
-
 int cmd_convert(Flags& flags) {
   if (flags.positional().size() < 3) return usage();
   const trace::Trace t = load_trace(flags, flags.positional()[1]);
@@ -1272,7 +1220,7 @@ int main(int argc, char** argv) {
                       "(also $VPPB_AUTH_KEY; unix sockets never "
                       "authenticate)");
   flags.define_i64("connect-timeout-ms", 0,
-                   "request/proxy/netem: bound on connect; a black-holed "
+                   "request/proxy: bound on connect; a black-holed "
                    "address fails in this long (0 = wait forever)");
   flags.define_i64("idle-timeout-ms", 0,
                    "serve/proxy: reap client connections idle this long "
@@ -1286,14 +1234,6 @@ int main(int argc, char** argv) {
   flags.define_string("host", "",
                       "request: TCP host to dial (numeric IPv4; "
                       "default loopback)");
-  flags.define_string("target", "",
-                      "netem: forward target (unix socket path, port, or "
-                      "host:port)");
-  flags.define_string("schedule", "",
-                      "netem: fault schedule, e.g. "
-                      "'delay-ms:50,drop:5,partition:2000:2000' "
-                      "(empty = transparent relay)");
-  flags.define_i64("seed", 1, "netem: schedule PRNG seed");
 
   try {
     flags.parse(argc, argv);
@@ -1338,7 +1278,6 @@ int main(int argc, char** argv) {
       else if (cmd == "proxy") rc = cmd_proxy(flags);
       else if (cmd == "cluster") rc = cmd_cluster(flags);
       else if (cmd == "request") rc = cmd_request(flags);
-      else if (cmd == "netem") rc = cmd_netem(flags);
       else if (cmd == "stats") rc = cmd_stats(flags);
       else if (cmd == "top") rc = cmd_top(flags);
       else if (cmd == "trace-collect") rc = cmd_trace_collect(flags);
