@@ -254,7 +254,7 @@ Proxy::Proxy(ProxyOptions opt)
       membership_(opt_.shards, opt_.membership),
       quota_(opt_.quota),
       hedge_pool_(std::max(2, opt_.hedge_jobs)),
-      frames_(server::listener_options(opt_, "proxy"),
+      frames_(opt_, "proxy",
               [this](std::vector<std::uint8_t>& payload,
                      std::uint64_t conn_id) {
                 return serve_frame(payload, conn_id);

@@ -93,12 +93,10 @@
 
 namespace vppb::cluster {
 
-struct ProxyOptions {
-  /// Listen endpoint, same convention as ServerOptions: unix path
-  /// preferred, loopback TCP otherwise (0 = ephemeral).
-  std::string unix_path;
-  std::uint16_t tcp_port = 0;
-
+/// The listener fields come from ListenerOptions, as for ServerOptions.
+/// Unless membership.auth_key is set, auth_key also secures the
+/// upstream dials to TCP shards.
+struct ProxyOptions : server::ListenerOptions {
   std::vector<ShardEndpoint> shards;
   MembershipOptions membership;
 
@@ -131,23 +129,6 @@ struct ProxyOptions {
   /// Response cache capacity (kOk compute responses; SVG-bearing
   /// responses are never cached — they dwarf everything else).
   std::size_t response_cache_entries = 256;
-
-  // --- hostile-network hardening (protocol v8) -----------------------
-  /// Shared auth key for the proxy's own TCP listener: every accepted
-  /// TCP connection must pass the v8 challenge–response before its
-  /// first frame is read.  Empty = handshake still runs but proof is
-  /// optional.  Unix listeners never handshake.  The same key is used
-  /// upstream (membership.auth_key) when dialing TCP shards.
-  std::string auth_key;
-  std::int64_t auth_timeout_ms = 5000;
-  /// Client connections idle past this are reaped (0 = never) —
-  /// slowloris cannot hold proxy threads open.
-  std::int64_t idle_timeout_ms = 0;
-  /// Total per-frame read deadline once the length prefix arrived
-  /// (0 = unbounded); defeats byte-trickle senders.
-  std::int64_t frame_deadline_ms = 0;
-  /// Hard cap on a client frame (0 = protocol max).
-  std::size_t max_request_frame_bytes = 0;
 
   /// Always-on span capture, same convention as ServerOptions: the
   /// proxy's own rings feed the cluster-wide `vppb trace-collect`.

@@ -27,9 +27,10 @@ int checked_ms(const char* name, std::int64_t ms) {
 
 }  // namespace
 
-FrameServer::FrameServer(FrameServerOptions opt, FrameHandler handler,
-                         FrameHooks hooks)
+FrameServer::FrameServer(ListenerOptions opt, std::string log_name,
+                         FrameHandler handler, FrameHooks hooks)
     : opt_(std::move(opt)),
+      log_name_(std::move(log_name)),
       handler_(std::move(handler)),
       hooks_(std::move(hooks)) {}
 
@@ -63,8 +64,6 @@ void FrameServer::stop() {
   accept_thread_.join();
   listener_.close();
   {
-    // Half-close every connection's read side: its IO thread finishes
-    // the frame it is on, delivers the reply, then sees EOF.
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (auto& c : conns_) c->sock.shutdown_read();
   }
@@ -90,7 +89,7 @@ void FrameServer::accept_loop() {
 }
 
 void FrameServer::serve_connection(Conn* conn) {
-  const char* name = opt_.log_name.c_str();
+  const char* name = log_name_.c_str();
   try {
     // TCP peers must pass the v8 handshake before the first frame is
     // read; the rejection is typed, bounded (fixed-size preamble, never
@@ -102,11 +101,12 @@ void FrameServer::serve_connection(Conn* conn) {
         cfg.handshake_timeout_ms = auth_timeout_ms_;
         auth_accept(conn->sock, cfg);
       } catch (const Error& e) {
+        // A wrong key is worth a warning; a peer that hung up or went
+        // silent mid-handshake is not.
         if (hooks_.auth_failure) hooks_.auth_failure();
-        const bool rejected = dynamic_cast<const AuthError*>(&e) != nullptr;
-        obs::logf(rejected ? LogLevel::kWarn : LogLevel::kDebug, name,
-                  "%s: %s", rejected ? "auth failed" : "handshake dropped",
-                  e.what());
+        obs::logf(dynamic_cast<const AuthError*>(&e) ? LogLevel::kWarn
+                                                     : LogLevel::kDebug,
+                  name, "handshake failed: %s", e.what());
         conn->sock.shutdown_both();
         return;
       }

@@ -1,21 +1,11 @@
-// The connection front end shared by vppbd and the proxy.
-//
-// A FrameServer owns everything between the listening socket and one
-// decoded frame: bind, an accept thread, one IO thread per connection,
-// the v8 handshake (TCP only), TCP keepalive, the idle receive timeout,
-// the frame-size ceiling and per-frame deadline, and the stop-time
-// drain.  It never sees a Request or a Response: each connection reads
-// one frame at a time, hands the payload to the owner's handler, and
-// writes back the bytes the handler returns before reading the next
-// frame (strict request/response per connection).
-//
-// A handler that throws vppb::Error drops that connection (the unit of
-// failure); the server lives on.  Auth failures and idle reaps are
+// The connection front end shared by vppbd and the proxy: bind, an
+// accept thread, one IO thread per connection, the v8 handshake (TCP
+// only) with keepalive, the idle reap, the frame limits, and the
+// stop-time drain.  It never sees a Request or a Response: each frame
+// read goes to the owner's handler, and the bytes it returns are
+// written back before the next frame is read.  A handler that throws
+// vppb::Error drops that connection; auth failures and idle reaps are
 // reported through hooks so each tier keeps its own counters.
-//
-// stop() drains gracefully: stop accepting, half-close the read side of
-// every connection (a request in flight finishes and its reply is
-// delivered, then the IO thread sees EOF), join everything.
 #pragma once
 
 #include <atomic>
@@ -32,42 +22,38 @@
 
 namespace vppb::server {
 
-struct FrameServerOptions {
-  /// Unix-domain socket path; preferred when non-empty.  Unix sockets
-  /// never authenticate: the socket file's permissions are the local
-  /// trust boundary.
+/// The listener half of ServerOptions and ProxyOptions.
+struct ListenerOptions {
+  /// Unix-domain socket path; preferred when non-empty (any stale
+  /// socket file is replaced).
   std::string unix_path;
-  /// Loopback TCP port, used when unix_path is empty (0 = ephemeral).
+  /// Loopback TCP port, used when unix_path is empty.  0 = ephemeral
+  /// (read the bound port from tcp_port() after start()).
   std::uint16_t tcp_port = 0;
-  /// Shared key for the TCP handshake (empty = proof optional).
-  std::string auth_key;
-  /// The three time limits, milliseconds.  bind() rejects any value
-  /// below 0 or above INT_MAX (0 = unbounded for all three).
-  std::int64_t auth_timeout_ms = 5000;
-  std::int64_t idle_timeout_ms = 0;
-  std::int64_t frame_deadline_ms = 0;
-  /// Ceiling on accepted frames, bytes (0 = the protocol cap).
-  std::size_t max_request_frame_bytes = 0;
-  /// Component name for log lines ("server", "proxy").
-  std::string log_name = "server";
-};
 
-/// Copies the listener fields a tier's options share by name with
-/// FrameServerOptions (ServerOptions and ProxyOptions both do).
-template <typename TierOptions>
-FrameServerOptions listener_options(const TierOptions& o,
-                                    std::string log_name) {
-  FrameServerOptions f;
-  f.unix_path = o.unix_path;
-  f.tcp_port = o.tcp_port;
-  f.auth_key = o.auth_key;
-  f.auth_timeout_ms = o.auth_timeout_ms;
-  f.idle_timeout_ms = o.idle_timeout_ms;
-  f.frame_deadline_ms = o.frame_deadline_ms;
-  f.max_request_frame_bytes = o.max_request_frame_bytes;
-  f.log_name = std::move(log_name);
-  return f;
-}
+  // --- hostile-network hardening (protocol v8) ---
+  /// Shared key for the TCP handshake (empty = the challenge still
+  /// flows, flagged optional).  Unix sockets never authenticate: the
+  /// socket file's permissions are the local trust boundary, and the
+  /// loopback digest baseline must stay byte-identical.
+  std::string auth_key;
+  /// Bound on each handshake read/write; a peer that connects and then
+  /// goes silent is dropped after this.
+  std::int64_t auth_timeout_ms = 5000;
+  /// Idle-connection reap: a connection with no new frame for this many
+  /// milliseconds is closed (slowloris defense).  0 = never reap,
+  /// preserving the long-lived-idle-client behaviour local tools rely
+  /// on.
+  std::int64_t idle_timeout_ms = 0;
+  /// Total time a *started* frame may take to arrive before the
+  /// connection is dropped (defeats one-byte-per-window trickling).
+  /// 0 = unbounded.
+  std::int64_t frame_deadline_ms = 0;
+  /// Ceiling on accepted request frames, bytes (hostile peers should
+  /// not get to pick allocation sizes up to the full 64 MiB protocol
+  /// cap).  0 = the protocol cap.
+  std::size_t max_request_frame_bytes = 0;
+};
 
 /// Turns one request frame into the encoded reply.  `payload` may be
 /// modified in place; `conn_id` is unique per accepted connection.
@@ -81,20 +67,23 @@ struct FrameHooks {
 
 class FrameServer {
  public:
-  FrameServer(FrameServerOptions opt, FrameHandler handler, FrameHooks hooks);
+  /// `log_name` is the component for log lines ("server", "proxy").
+  FrameServer(ListenerOptions opt, std::string log_name, FrameHandler handler,
+              FrameHooks hooks);
   ~FrameServer();  ///< calls stop()
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Checks the time limits and binds the endpoint.  Throws vppb::Error
-  /// on an out-of-range limit or an endpoint that cannot be bound;
-  /// starts no thread.
+  /// Binds the endpoint.  Throws vppb::Error, before any thread starts,
+  /// when it cannot be bound or a time limit is below 0 or above
+  /// INT_MAX milliseconds.
   void bind();
-  /// Starts the accept thread.  Requires a successful bind().
+  /// Starts the accept thread; requires a successful bind().
   void start();
-  /// Graceful drain (see file comment), then removes the unix socket
-  /// file.  Idempotent.
+  /// Stops accepting, half-closes every connection's read side (the
+  /// frame in flight is answered, then the IO thread sees EOF), joins
+  /// everything and removes the unix socket file.  Idempotent.
   void stop();
 
   /// Human-readable bound endpoint ("path.sock" or "127.0.0.1:port").
@@ -111,11 +100,11 @@ class FrameServer {
   void accept_loop();
   void serve_connection(Conn* conn);
 
-  FrameServerOptions opt_;
+  ListenerOptions opt_;
+  std::string log_name_;
   FrameHandler handler_;
   FrameHooks hooks_;
-  // The time limits, range-checked by bind().
-  int auth_timeout_ms_ = 0;
+  int auth_timeout_ms_ = 0;  ///< range-checked copies, set by bind()
   int idle_timeout_ms_ = 0;
   FrameLimits limits_;
 

@@ -24,7 +24,7 @@ Server::Server(ServerOptions opt)
     : opt_(opt),
       faults_(opt.faults ? opt.faults : &util::FaultPlan::global()),
       cache_(opt.cache_entries, opt.cache_bytes, faults_),
-      frames_(listener_options(opt, "server"),
+      frames_(opt, "server",
               [this](std::vector<std::uint8_t>& payload,
                      std::uint64_t conn_id) {
                 return serve_frame(payload, conn_id);

@@ -62,13 +62,9 @@
 
 namespace vppb::server {
 
-struct ServerOptions {
-  /// Unix-domain socket path; preferred when non-empty (any stale
-  /// socket file is replaced).
-  std::string unix_path;
-  /// Loopback TCP port, used when unix_path is empty.  0 = ephemeral
-  /// (read the bound port from Server::tcp_port after start()).
-  std::uint16_t tcp_port = 0;
+/// The listener fields (unix_path, tcp_port, auth_key, the time limits,
+/// max_request_frame_bytes) come from ListenerOptions.
+struct ServerOptions : ListenerOptions {
   /// Workers of the owned pool (0 = all hardware threads).  Ignored
   /// when `pool` is set.
   int jobs = 0;
@@ -118,29 +114,6 @@ struct ServerOptions {
   /// Shard identity reported in health/stats responses (protocol v5).
   /// Assigned by the operator or the cluster launcher; 0 = standalone.
   std::uint64_t shard_id = 0;
-
-  // --- hostile-network hardening (protocol v8) ---
-  /// Shared key for the TCP handshake (empty = open listener).  Unix
-  /// sockets never authenticate: the socket file's permissions are the
-  /// local trust boundary, and the loopback digest baseline must stay
-  /// byte-identical.
-  std::string auth_key;
-  /// Bound on each handshake read/write; a peer that connects and then
-  /// goes silent is dropped after this.
-  std::int64_t auth_timeout_ms = 5000;
-  /// Idle-connection reap: a connection with no new frame for this many
-  /// milliseconds is closed (slowloris defense).  0 = never reap,
-  /// preserving the long-lived-idle-client behaviour local tools rely
-  /// on.
-  std::int64_t idle_timeout_ms = 0;
-  /// Total time a *started* frame may take to arrive before the
-  /// connection is dropped (defeats one-byte-per-window trickling).
-  /// 0 = unbounded.
-  std::int64_t frame_deadline_ms = 0;
-  /// Ceiling on accepted request frames, bytes (hostile peers should
-  /// not get to pick allocation sizes up to the full 64 MiB protocol
-  /// cap).  0 = the protocol cap.
-  std::size_t max_request_frame_bytes = 0;
 
   /// Always-on span capture: start() enables the process-wide tracer so
   /// tracedump always has rings to drain (overhead is gated < 3% by

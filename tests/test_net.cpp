@@ -433,60 +433,39 @@ TEST(SocketHardeningTest, RecvDeadlineDefeatsByteTrickle) {
 
 // ---- the accept-path defenses, on both tiers -------------------------------
 
-/// The listener options ServerOptions and ProxyOptions share by name.
-struct ListenerSpec {
-  std::string unix_path;  ///< empty = loopback TCP on an ephemeral port
-  std::string auth_key;
-  std::int64_t auth_timeout_ms = 5000;
-  std::int64_t idle_timeout_ms = 0;
-  std::int64_t frame_deadline_ms = 0;
-  std::size_t max_request_frame_bytes = 0;
-  int jobs = 1;  ///< server workers (the proxy's shard gets the same)
-};
-
 enum class Tier { kServer, kProxy };
 
 const char* tier_name(Tier t) { return t == Tier::kServer ? "server" : "proxy"; }
-
-template <typename Options>
-Options tier_options(const ListenerSpec& spec) {
-  Options o;
-  o.unix_path = spec.unix_path;
-  o.tcp_port = 0;
-  o.auth_key = spec.auth_key;
-  o.auth_timeout_ms = spec.auth_timeout_ms;
-  o.idle_timeout_ms = spec.idle_timeout_ms;
-  o.frame_deadline_ms = spec.frame_deadline_ms;
-  o.max_request_frame_bytes = spec.max_request_frame_bytes;
-  return o;
-}
 
 std::uint64_t registry_count(const char* name) {
   return obs::Registry::global().counter(name, "").value();
 }
 
-/// One tier started with `spec`: a vppbd, or a proxy in front of one
-/// in-process unix-socket shard.  The reject counters are the tier's
+/// One tier listening with `spec` (`jobs` server workers): a vppbd, or
+/// a proxy in front of one in-process unix-socket shard.  The reject counters are the tier's
 /// own: the server's stats reply, or — since a proxy's stats reply
 /// carries shard stats — the proxy's counters in the process-wide
 /// registry, as a delta over this rig's lifetime.
 class TierRig {
  public:
-  TierRig(Tier tier, const ListenerSpec& spec) : tier_(tier) {
+  TierRig(Tier tier, const ListenerOptions& spec, int jobs = 1)
+      : tier_(tier) {
     if (tier == Tier::kServer) {
-      ServerOptions so = tier_options<ServerOptions>(spec);
-      so.jobs = spec.jobs;
+      ServerOptions so;
+      static_cast<ListenerOptions&>(so) = spec;
+      so.jobs = jobs;
       server_ = std::make_unique<Server>(so);
       server_->start();
       return;
     }
     ServerOptions shard;
     shard.unix_path = shard_sock_.path();
-    shard.jobs = spec.jobs;
+    shard.jobs = jobs;
     shard.shard_id = 1;
     server_ = std::make_unique<Server>(shard);
     server_->start();
-    cluster::ProxyOptions po = tier_options<cluster::ProxyOptions>(spec);
+    cluster::ProxyOptions po;
+    static_cast<ListenerOptions&>(po) = spec;
     po.shards.push_back(cluster::ShardEndpoint::parse(1, shard_sock_.path()));
     proxy_ = std::make_unique<cluster::Proxy>(po);
     proxy_->start();
@@ -535,10 +514,9 @@ constexpr Tier kTiers[] = {Tier::kServer, Tier::kProxy};
 TEST(ServerAuthTest, TcpEndToEndWithKey) {
   for (const Tier tier : kTiers) {
     SCOPED_TRACE(tier_name(tier));
-    ListenerSpec spec;
+    ListenerOptions spec;
     spec.auth_key = "integration-key";
-    spec.jobs = 2;
-    TierRig rig(tier, spec);
+    TierRig rig(tier, spec, /*jobs=*/2);
 
     Client good =
         Client::connect_tcp("", rig.tcp_port(), "integration-key", 2000);
@@ -580,7 +558,7 @@ TEST(ServerAuthTest, AuthErrorIsNeverRetried) {
 TEST(ServerAuthTest, SlowlorisIsReaped) {
   for (const Tier tier : kTiers) {
     SCOPED_TRACE(tier_name(tier));
-    ListenerSpec spec;
+    ListenerOptions spec;
     spec.auth_key = "reap-key";
     spec.idle_timeout_ms = 200;
     TierRig rig(tier, spec);
@@ -603,7 +581,7 @@ TEST(ServerHardeningTest, OversizedFrameHeaderRejected) {
   for (const Tier tier : kTiers) {
     SCOPED_TRACE(tier_name(tier));
     TempFile sock("oversized");
-    ListenerSpec spec;
+    ListenerOptions spec;
     spec.unix_path = sock.path();
     spec.max_request_frame_bytes = 1 << 20;
     TierRig rig(tier, spec);
@@ -639,7 +617,7 @@ TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
   for (const Tier tier : kTiers) {
     SCOPED_TRACE(tier_name(tier));
     TempFile sock("trickle");
-    ListenerSpec spec;
+    ListenerOptions spec;
     spec.unix_path = sock.path();
     spec.frame_deadline_ms = 300;
     TierRig rig(tier, spec);
@@ -677,10 +655,10 @@ TEST(ListenerLimitsTest, OutOfRangeTimeLimitsThrowAtStart) {
     SCOPED_TRACE(tier_name(tier));
     for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{3000000000}}) {
       SCOPED_TRACE(bad);
-      for (std::int64_t ListenerSpec::*field :
-           {&ListenerSpec::auth_timeout_ms, &ListenerSpec::idle_timeout_ms,
-            &ListenerSpec::frame_deadline_ms}) {
-        ListenerSpec spec;
+      for (std::int64_t ListenerOptions::*field :
+           {&ListenerOptions::auth_timeout_ms, &ListenerOptions::idle_timeout_ms,
+            &ListenerOptions::frame_deadline_ms}) {
+        ListenerOptions spec;
         spec.*field = bad;
         EXPECT_THROW(TierRig(tier, spec), Error);
       }
