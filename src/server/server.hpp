@@ -5,10 +5,9 @@
 // connection; each frame it reads runs through admission control here,
 // and the response is written before the next frame is read (strict
 // request/response per connection — no reordering, no per-connection
-// queues).  The compute
-// itself runs on a shared util::ThreadPool: the IO thread posts the
-// handler and blocks for the result, so CPU-bound work is bounded by
-// the pool size no matter how many clients connect.
+// queues).  The compute itself runs on a shared util::ThreadPool: the
+// IO thread posts the handler and blocks for the result, so CPU-bound
+// work is bounded by the pool size no matter how many clients connect.
 //
 // Admission is a bounded in-flight count, not a queue that grows: a
 // request arriving while `admission_limit` requests are admitted (on a
@@ -19,8 +18,7 @@
 // stop() drains gracefully: the FrameServer stops accepting and
 // half-closes every connection (in-flight requests finish and their
 // responses are delivered), then the worker tasks and the watchdog are
-// joined.  `vppb serve` wires SIGINT/SIGTERM to
-// exactly this.
+// joined.  `vppb serve` wires SIGINT/SIGTERM to exactly this.
 //
 // Resource governance (the hang-proofing layer): every admitted request
 // carries a core::RunGuard armed with the server ceilings (max_steps /

@@ -442,10 +442,10 @@ std::uint64_t registry_count(const char* name) {
 }
 
 /// One tier listening with `spec` (`jobs` server workers): a vppbd, or
-/// a proxy in front of one in-process unix-socket shard.  The reject counters are the tier's
-/// own: the server's stats reply, or — since a proxy's stats reply
-/// carries shard stats — the proxy's counters in the process-wide
-/// registry, as a delta over this rig's lifetime.
+/// a proxy in front of one in-process unix-socket shard.  The reject
+/// counters are the tier's own: the server's stats reply, or — since a
+/// proxy's stats reply carries shard stats — the proxy's counters in
+/// the process-wide registry, as a delta over this rig's lifetime.
 class TierRig {
  public:
   TierRig(Tier tier, const ListenerOptions& spec, int jobs = 1)
